@@ -27,7 +27,7 @@ for name, e in (("GOOD", GOOD), ("BAD", BAD)):
     flag, certificate = cokernel_torsion_free_matrix(e)
     print(f"cokernel torsion free: {flag}  (decided by {certificate.criterion})")
     if certificate.minor_gcd is not None:
-        print(f"  minor gcd: {certificate.minor_gcd.d}")
+        print(f"  minor gcd: {certificate.minor_gcd}")
     if certificate.left_inverse is not None:
         print("  certified left inverse:")
         for line in str(certificate.left_inverse).splitlines():

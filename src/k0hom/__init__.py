@@ -4,8 +4,8 @@ The library represents a finite-dimensional C*-algebra by its block sizes
 and a *-homomorphism by its multiplicity matrix, then decides injectivity,
 surjectivity and unitality of the map and of its induced K0 map, plus
 torsion-freeness of the K0 cokernel, entirely in exact integer arithmetic.
-Positive answers come with certificates: one-sided integer inverses that are
-verified by multiplication, minor-gcd witnesses, and Smith normal forms.
+Positive answers come with certificates that are verified by
+multiplication: one-sided integer inverses and Smith normal forms.
 
 Quick tour::
 
@@ -46,6 +46,7 @@ from .intlin import (
     DimensionError,
     EnumerationCapExceeded,
     IntMatrix,
+    InvariantViolation,
     MinorGcdResult,
     PreconditionError,
     ScaledLeftInverse,
@@ -75,6 +76,7 @@ __all__ = [
     "FdHom",
     "IntMatrix",
     "InvalidHomError",
+    "InvariantViolation",
     "MinorGcdResult",
     "PreconditionError",
     "ScaledLeftInverse",

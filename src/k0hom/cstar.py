@@ -22,15 +22,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .intlin import (
-    DEFAULT_SUBMATRIX_CAP,
-    EnumerationCapExceeded,
     IntMatrix,
-    MinorGcdResult,
+    InvariantViolation,
     PreconditionError,
     SmithDecomposition,
     column_rank,
-    left_inverse,
-    minor_gcd,
     smith_normal_form,
 )
 
@@ -267,56 +263,83 @@ def row_pattern_span_equivalence(e: IntMatrix) -> tuple[bool, bool]:
 class TorsionCertificate:
     """Evidence backing a torsion-freeness decision for a cokernel.
 
-    ``criterion`` is "minor-gcd" when the decision came from the gcd of the
-    full square minors (valid when the columns are independent), together
-    with a verified left inverse when the gcd is 1.  It is
-    "invariant-factors" when the decision came from the Smith normal form.
+    ``smith`` is the Smith normal form the decision was read from, verified
+    by ``U @ E @ V == D`` before it is returned.  ``criterion`` is
+    "minor-gcd" when the columns are independent: the cokernel is then
+    torsion free iff the gcd of the full square minors is 1.  ``minor_gcd``
+    holds that gcd, computed as the product of the invariant factors (the
+    determinantal-divisor identity) rather than by enumerating minors, and
+    when it is 1 ``left_inverse`` holds ``K = V @ [I 0] @ U``, verified by
+    ``K @ E == I``.  Otherwise ``criterion`` is "invariant-factors": the
+    cokernel is torsion free iff every invariant factor is 1, and both
+    ``minor_gcd`` and ``left_inverse`` are None.
     """
 
     criterion: str
-    minor_gcd: Optional[MinorGcdResult] = None
+    smith: SmithDecomposition
+    minor_gcd: Optional[int] = None
     left_inverse: Optional[IntMatrix] = None
-    smith: Optional[SmithDecomposition] = None
 
 
-def cokernel_torsion_free_matrix(
-    e: IntMatrix, max_submatrices: int = DEFAULT_SUBMATRIX_CAP
+def _torsion_from_smith(
+    e: IntMatrix, snf: SmithDecomposition
 ) -> tuple[bool, TorsionCertificate]:
+    """Torsion decision and certificate read off one Smith normal form of e.
+
+    Raises InvariantViolation unless ``U @ e @ V == D`` with D the diagonal
+    of the invariant factors, and, when a left inverse is built, unless
+    ``K @ e == I``.
+    """
+    factors = snf.invariant_factors
+    diagonal = [
+        [factors[i] if i == j and i < len(factors) else 0 for j in range(e.cols)]
+        for i in range(e.rows)
+    ]
+    if snf.D.to_rows() != diagonal or snf.U @ e @ snf.V != snf.D:
+        raise InvariantViolation(
+            "Smith normal form failed verification: U @ E @ V != diag(factors)"
+        )
+    torsion_free = all(f == 1 for f in factors)
+    if len(factors) < e.cols:
+        return torsion_free, TorsionCertificate(
+            criterion="invariant-factors", smith=snf
+        )
+    inverse = None
+    if torsion_free:
+        # D = [I; 0]: the first k rows of U satisfy U_k @ E @ V == I, so
+        # K = V @ U_k is a left inverse of E.
+        u_top = IntMatrix(e.cols, e.rows, snf.U.entries[: e.cols * e.rows])
+        inverse = snf.V @ u_top
+        if inverse @ e != IntMatrix.identity(e.cols):
+            raise InvariantViolation(
+                "left inverse from the Smith normal form failed verification: "
+                "K @ E != I"
+            )
+    return torsion_free, TorsionCertificate(
+        criterion="minor-gcd",
+        smith=snf,
+        minor_gcd=math.prod(factors),
+        left_inverse=inverse,
+    )
+
+
+def cokernel_torsion_free_matrix(e: IntMatrix) -> tuple[bool, TorsionCertificate]:
     """Is the quotient of the target lattice by the column span torsion free?
 
-    When the columns are independent this is equivalent to the minor gcd
-    being 1, and in the positive case a left inverse is constructed and
-    verified as a certificate.  Otherwise (or when minor enumeration would
-    exceed the cap) the Smith normal form decides: the cokernel is torsion
-    free iff every nonzero invariant factor equals 1.
+    Decided from one verified Smith normal form, with no minor enumerated:
+    the cokernel is torsion free iff every invariant factor equals 1.  When
+    the columns are independent this is the minor-gcd criterion (gcd of the
+    full square minors equals 1, that gcd being the product of the
+    invariant factors), and in the positive case a left inverse is built
+    from the transforms and verified as a certificate; see
+    :class:`TorsionCertificate`.
     """
-    if column_rank(e) == e.cols:
-        try:
-            gcd_result = minor_gcd(e, max_submatrices=max_submatrices)
-        except EnumerationCapExceeded:
-            gcd_result = None
-        if gcd_result is not None:
-            torsion_free = gcd_result.d == 1
-            inverse = None
-            if torsion_free:
-                inverse = left_inverse(e, max_submatrices=max_submatrices)
-                if inverse is None or inverse @ e != IntMatrix.identity(e.cols):
-                    raise AssertionError(
-                        "left inverse construction failed despite minor gcd 1"
-                    )
-            return torsion_free, TorsionCertificate(
-                criterion="minor-gcd", minor_gcd=gcd_result, left_inverse=inverse
-            )
-    snf = smith_normal_form(e)
-    torsion_free = all(f == 1 for f in snf.invariant_factors)
-    return torsion_free, TorsionCertificate(criterion="invariant-factors", smith=snf)
+    return _torsion_from_smith(e, smith_normal_form(e))
 
 
-def cokernel_torsion_free(
-    h: FdHom, max_submatrices: int = DEFAULT_SUBMATRIX_CAP
-) -> tuple[bool, TorsionCertificate]:
+def cokernel_torsion_free(h: FdHom) -> tuple[bool, TorsionCertificate]:
     """Torsion-freeness of the cokernel of the K0 map of h, with certificate."""
-    return cokernel_torsion_free_matrix(h.matrix, max_submatrices=max_submatrices)
+    return cokernel_torsion_free_matrix(h.matrix)
 
 
 def necessary_gcd_conditions(h: FdHom) -> tuple[int, tuple[int, ...]]:
@@ -324,7 +347,7 @@ def necessary_gcd_conditions(h: FdHom) -> tuple[int, tuple[int, ...]]:
 
     Only defined for nonzero homomorphisms.  A torsion-free cokernel forces
     the entry gcd to be 1, and when the K0 map is also injective every
-    column gcd is 1; :func:`analyze` asserts both implications.
+    column gcd is 1; :func:`analyze` checks both implications.
     """
     if h.matrix.is_zero():
         raise PreconditionError(
@@ -355,10 +378,15 @@ def compose(g: FdHom, f: FdHom) -> FdHom:
 class AnalysisReport:
     """Every decided predicate for one homomorphism, with certificates.
 
-    ``minor_gcd`` and ``left_inverse_certificate`` are present exactly when
-    the minor-gcd route decided torsion-freeness (columns independent) and,
-    for the certificate, when the gcd is 1.  ``notes`` lists the cross-level
-    implications that fired and the criterion used for the torsion decision.
+    The K0 predicates, the torsion decision, ``invariant_factors``,
+    ``minor_gcd`` and ``left_inverse_certificate`` all come from one
+    verified Smith normal form of the multiplicity matrix.  ``minor_gcd``
+    is present exactly when the columns are independent (the "minor-gcd"
+    criterion); it is the product of the invariant factors, which equals
+    the gcd of the full square minors.  ``left_inverse_certificate`` is
+    present exactly when that gcd is 1, and satisfies ``K @ E == I``.
+    ``notes`` lists the cross-level implications that fired and the
+    criterion used for the torsion decision.
     """
 
     phi_injective: bool
@@ -377,51 +405,56 @@ class AnalysisReport:
     notes: tuple[str, ...]
 
 
-def analyze(h: FdHom, max_submatrices: int = DEFAULT_SUBMATRIX_CAP) -> AnalysisReport:
+def analyze(h: FdHom) -> AnalysisReport:
     """Decide every predicate for h and package the evidence.
 
-    The report is internally cross-checked: K0-injectivity must imply
+    One Smith normal form ``D = U @ E @ V`` of the multiplicity matrix E
+    decides everything at the K0 level, with no minor enumerated: the rank
+    is the number of invariant factors, the K0 map is injective iff the
+    rank equals the number of columns and surjective iff it equals the
+    number of rows with every factor 1, and the cokernel is torsion free
+    iff every factor is 1.  Both certificates are verified by
+    multiplication first (see :class:`TorsionCertificate`).
+
+    The report is then cross-checked: K0-injectivity must imply
     injectivity, surjectivity must imply K0-surjectivity and unitality, the
     surjectivity equivalence must hold, and the gcd conditions required by a
-    torsion-free cokernel are asserted for nonzero maps.
+    torsion-free cokernel must hold for nonzero maps.  A failed check raises
+    InvariantViolation, also under ``python -O``.
     """
+    e = h.matrix
+    torsion_free, certificate = _torsion_from_smith(e, smith_normal_form(e))
+    factors = certificate.smith.invariant_factors
+    gcd_value = certificate.minor_gcd
+
     phi_inj = is_injective(h)
     phi_sur = is_surjective(h)
     phi_uni = is_unital(h)
-    k0_inj = k0_injective(h)
-    k0_sur = k0_surjective(h)
+    k0_inj = len(factors) == e.cols
+    k0_sur = len(factors) == e.rows and torsion_free
     k0_uni = phi_uni
 
-    torsion_free, certificate = cokernel_torsion_free(
-        h, max_submatrices=max_submatrices
-    )
-    if certificate.smith is not None:
-        factors = certificate.smith.invariant_factors
-    else:
-        factors = smith_normal_form(h.matrix).invariant_factors
-    gcd_value = certificate.minor_gcd.d if certificate.minor_gcd is not None else None
-
-    if h.matrix.is_zero():
+    if e.is_zero():
         entry_gcd = 0
-        column_gcds = tuple(0 for _ in range(h.matrix.cols))
+        column_gcds = tuple(0 for _ in range(e.cols))
     else:
         entry_gcd, column_gcds = necessary_gcd_conditions(h)
 
-    assert not k0_inj or phi_inj, "K0-injective map must be injective"
-    assert not phi_sur or (k0_sur and phi_uni), (
-        "surjective map must be K0-surjective and unital"
-    )
-    row_condition = _row_pattern_condition(h.matrix)
-    assert phi_sur == (k0_sur and phi_uni and row_condition), (
-        "surjectivity must match the three-way characterisation"
-    )
-    assert (
-        certificate.left_inverse is not None
-    ) == (gcd_value == 1 and k0_inj), "left inverse certificate out of sync"
-    if not h.matrix.is_zero() and torsion_free:
-        assert entry_gcd == 1, "torsion-free cokernel forces entry gcd 1"
-        if k0_inj:
-            assert all(c == 1 for c in column_gcds), (
+    if k0_inj and not phi_inj:
+        raise InvariantViolation("K0-injective map must be injective")
+    if phi_sur and not (k0_sur and phi_uni):
+        raise InvariantViolation("surjective map must be K0-surjective and unital")
+    if phi_sur != (k0_sur and phi_uni and _row_pattern_condition(e)):
+        raise InvariantViolation(
+            "surjectivity must match the three-way characterisation"
+        )
+    if (certificate.left_inverse is not None) != (gcd_value == 1 and k0_inj):
+        raise InvariantViolation("left inverse certificate out of sync")
+    if not e.is_zero() and torsion_free:
+        if entry_gcd != 1:
+            raise InvariantViolation("torsion-free cokernel forces entry gcd 1")
+        if k0_inj and any(c != 1 for c in column_gcds):
+            raise InvariantViolation(
                 "torsion-free cokernel with injective K0 map forces column gcds 1"
             )
 

@@ -26,6 +26,7 @@ __all__ = [
     "DimensionError",
     "PreconditionError",
     "EnumerationCapExceeded",
+    "InvariantViolation",
     "IntMatrix",
     "MinorGcdResult",
     "BezoutResult",
@@ -56,6 +57,14 @@ class PreconditionError(ValueError):
 
 class EnumerationCapExceeded(RuntimeError):
     """Submatrix enumeration would evaluate more minors than the cap allows."""
+
+
+class InvariantViolation(RuntimeError):
+    """A result failed its own verification, such as ``U @ E @ V != D``.
+
+    Raised by explicit checks rather than ``assert``, so it also fires under
+    ``python -O``.  It signals a defect in the library, never bad input.
+    """
 
 
 #: Default bound on the number of full square submatrices that gcd/inverse

@@ -7,12 +7,20 @@ instead of IntMatrix.__matmul__) so agreement checks mean something.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from k0hom import FdAlgebra, FdHom, IntMatrix, make_hom
+from k0hom import (
+    FdAlgebra,
+    FdHom,
+    IntMatrix,
+    SmithDecomposition,
+    make_hom,
+    smith_normal_form,
+)
 
 
 def fraction_rank(rows: list[list[int]]) -> int:
@@ -181,11 +189,7 @@ def st_tall_matrices(draw, max_rows=5, lo=-9, hi=9):
     return IntMatrix.from_rows(rows)
 
 
-@st.composite
-def st_homs(draw):
-    """The randomized-hom recipe as a hypothesis strategy."""
-    k = draw(st.integers(1, 4))
-    ell = draw(st.integers(1, 4))
+def _draw_hom(draw, k: int, ell: int) -> FdHom:
     source = FdAlgebra(tuple(draw(st.integers(1, 5)) for _ in range(k)))
     entries = [[draw(st.integers(0, 3)) for _ in range(k)] for _ in range(ell)]
     blocks = []
@@ -201,6 +205,22 @@ def st_homs(draw):
 
 
 @st.composite
+def st_homs(draw):
+    """The randomized-hom recipe as a hypothesis strategy."""
+    k = draw(st.integers(1, 4))
+    ell = draw(st.integers(1, 4))
+    return _draw_hom(draw, k, ell)
+
+
+@st.composite
+def st_tall_homs(draw, max_rows=8, max_cols=4):
+    """The same recipe restricted to tall and square multiplicity matrices."""
+    k = draw(st.integers(1, max_cols))
+    ell = draw(st.integers(k, max_rows))
+    return _draw_hom(draw, k, ell)
+
+
+@st.composite
 def st_row_pattern_matrices(draw, max_rows=5, max_cols=5):
     ell = draw(st.integers(1, max_rows))
     k = draw(st.integers(1, max_cols))
@@ -210,3 +230,18 @@ def st_row_pattern_matrices(draw, max_rows=5, max_cols=5):
         row[draw(st.integers(0, k - 1))] = 1
         rows.append(row)
     return IntMatrix.from_rows(rows)
+
+
+def corrupted_smith_normal_form(e: IntMatrix) -> SmithDecomposition:
+    """A Smith normal form whose first invariant factor is off by one.
+
+    D still equals the diagonal of the reported factors, so only the
+    multiplication check ``U @ E @ V == D`` can notice.
+    """
+    snf = smith_normal_form(e)
+    rows = snf.D.to_rows()
+    rows[0][0] += 1
+    factors = (rows[0][0],) + snf.invariant_factors[1:]
+    return dataclasses.replace(
+        snf, D=IntMatrix.from_rows(rows), invariant_factors=factors
+    )

@@ -1,16 +1,23 @@
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    corrupted_smith_normal_form,
     is_row_pattern,
     matmul_lists,
     random_chain,
     st_homs,
     st_row_pattern_matrices,
+    st_tall_homs,
 )
-from k0hom import oracle
+from k0hom import cstar, oracle
 from k0hom.cstar import (
     FdAlgebra,
     FdHom,
@@ -29,7 +36,13 @@ from k0hom.cstar import (
     necessary_gcd_conditions,
     row_pattern_span_equivalence,
 )
-from k0hom.intlin import IntMatrix, PreconditionError
+from k0hom.intlin import (
+    DEFAULT_SUBMATRIX_CAP,
+    IntMatrix,
+    InvariantViolation,
+    PreconditionError,
+    minor_gcd,
+)
 
 # phi: M2 + M3 + M4 -> M5 + M4, (x, y, z) |-> (diag(x, y), z)
 A = FdAlgebra.of(2, 3, 4)
@@ -46,6 +59,24 @@ def phi() -> FdHom:
 
 def tall_hom() -> FdHom:
     return make_hom(FdAlgebra.of(1, 1), FdAlgebra.of(6, 2, 5), TALL)
+
+
+def _capped_tall() -> IntMatrix:
+    # [I; R], 30x15: C(30, 15) ~ 1.55e8 full square minors, far past the
+    # enumeration cap, while the identity block fixes the minor gcd at 1
+    rng = random.Random(2001)
+    rows = [[int(i == j) for j in range(15)] for i in range(15)]
+    rows += [[rng.randint(0, 3) for _ in range(15)] for _ in range(15)]
+    return IntMatrix.from_rows(rows)
+
+
+CAPPED_TALL = _capped_tall()
+
+
+def unit_block_hom(e: IntMatrix) -> FdHom:
+    """e as a hom out of M1 + ... + M1; only zero rows leave slack (of 1)."""
+    target = tuple(max(sum(e.row(i)), 1) for i in range(e.rows))
+    return make_hom(FdAlgebra((1,) * e.cols), FdAlgebra(target), e)
 
 
 class TestFdAlgebra:
@@ -157,7 +188,7 @@ class TestCokernelTorsionFree:
         flag, cert = cokernel_torsion_free(tall_hom())
         assert flag
         assert cert.criterion == "minor-gcd"
-        assert cert.minor_gcd is not None and cert.minor_gcd.d == 1
+        assert cert.minor_gcd == 1
         assert cert.left_inverse is not None
         assert cert.left_inverse @ TALL == IntMatrix.identity(2)
 
@@ -168,7 +199,7 @@ class TestCokernelTorsionFree:
         flag, cert = cokernel_torsion_free(h)
         assert not flag
         assert cert.criterion == "minor-gcd"
-        assert cert.minor_gcd is not None and cert.minor_gcd.d == 2
+        assert cert.minor_gcd == 2
         assert cert.left_inverse is None
 
     def test_identity(self):
@@ -186,21 +217,35 @@ class TestCokernelTorsionFree:
         assert cert.criterion == "invariant-factors"
         assert flag == oracle.torsion_free_by_snf(m)
 
-    def test_enumeration_cap_falls_back_to_invariant_factors(self):
-        # TALL has three full square submatrices; capping at two forces the
-        # Smith normal form route even though the columns are independent
-        flag, cert = cokernel_torsion_free_matrix(TALL, max_submatrices=2)
-        assert flag
-        assert cert.criterion == "invariant-factors"
-        assert cert.minor_gcd is None and cert.left_inverse is None
-
-    def test_analyze_with_capped_enumeration(self):
-        report = analyze(tall_hom(), max_submatrices=2)
+    def test_beyond_enumeration_cap_decided_by_minor_gcd(self):
+        e = CAPPED_TALL
+        assert math.comb(e.rows, e.cols) > DEFAULT_SUBMATRIX_CAP
+        report = analyze(unit_block_hom(e))
+        assert report.torsion_criterion == "minor-gcd"
         assert report.cokernel_torsion_free
-        assert report.torsion_criterion == "invariant-factors"
-        assert report.minor_gcd is None
+        assert report.minor_gcd == 1
+        assert report.invariant_factors == (1,) * e.cols
+        assert report.left_inverse_certificate is not None
+        assert report.left_inverse_certificate @ e == IntMatrix.identity(e.cols)
+
+        flag, cert = cokernel_torsion_free_matrix(e)
+        assert flag and cert.criterion == "minor-gcd" and cert.minor_gcd == 1
+        assert cert.smith.U @ e @ cert.smith.V == cert.smith.D
+        assert cert.left_inverse @ e == IntMatrix.identity(e.cols)
+
+    def test_doubled_column_beyond_enumeration_cap_has_even_minor_gcd(self):
+        rows = CAPPED_TALL.to_rows()
+        for row in rows:
+            row[3] *= 2
+        e = IntMatrix.from_rows(rows)
+        report = analyze(unit_block_hom(e))
+        assert report.torsion_criterion == "minor-gcd"
+        assert not report.cokernel_torsion_free
+        assert report.minor_gcd is not None and report.minor_gcd % 2 == 0
         assert report.left_inverse_certificate is None
-        assert report.invariant_factors == (1, 1)
+
+        flag, cert = cokernel_torsion_free_matrix(e)
+        assert not flag and cert.minor_gcd % 2 == 0 and cert.left_inverse is None
 
 
 class TestNecessaryGcdConditions:
@@ -337,3 +382,52 @@ class TestAnalyze:
         assert report.cokernel_torsion_free == factors_all_one
         if report.k0_injective:
             assert (report.minor_gcd == 1) == factors_all_one
+
+    @given(st_tall_homs(max_rows=8, max_cols=4))
+    @settings(max_examples=100)
+    def test_snf_route_agrees_with_minor_enumeration(self, h):
+        # independent references: the enumerating minor gcd and the
+        # determinantal divisors, neither of which runs inside analyze
+        report = analyze(h)
+        if report.k0_injective:
+            assert report.minor_gcd == minor_gcd(h.matrix).d
+        assert report.invariant_factors == oracle.invariant_factors_by_minors(h.matrix)
+
+
+OPTIMIZED_CHECK = """
+import sys
+from helpers import corrupted_smith_normal_form
+from k0hom import FdAlgebra, IntMatrix, InvariantViolation, analyze, cstar, make_hom
+
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+cstar.smith_normal_form = corrupted_smith_normal_form
+h = make_hom(FdAlgebra.of(1, 1), FdAlgebra.of(6, 2, 5),
+             IntMatrix.from_rows([[3, 3], [2, 0], [0, 5]]))
+try:
+    analyze(h)
+except InvariantViolation:
+    sys.exit(0)
+sys.exit("a corrupted Smith normal form went unnoticed")
+"""
+
+
+class TestInvariantViolation:
+    def test_corrupted_smith_form_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(cstar, "smith_normal_form", corrupted_smith_normal_form)
+        with pytest.raises(InvariantViolation):
+            analyze(tall_hom())
+        with pytest.raises(InvariantViolation):
+            cokernel_torsion_free_matrix(TALL)
+
+    def test_corrupted_smith_form_is_rejected_under_optimize(self):
+        root = Path(__file__).resolve().parents[1]
+        path = [str(root / "src"), str(root / "tests")]
+        if os.environ.get("PYTHONPATH"):
+            path.append(os.environ["PYTHONPATH"])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
