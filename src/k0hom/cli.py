@@ -11,10 +11,9 @@ finds no unit inverse.  Diagnostics go to stderr, results to stdout.
 
 from __future__ import annotations
 
+import argparse
 import sys
-from typing import Optional
-
-import click
+from typing import NoReturn, Optional, Sequence
 
 from .cstar import (
     AnalysisReport,
@@ -27,11 +26,13 @@ from .intlin import (
     DimensionError,
     EnumerationCapExceeded,
     IntMatrix,
+    InvariantViolation,
     PreconditionError,
     scaled_left_inverse,
     smith_normal_form,
 )
 from .workspace import (
+    HomEntry,
     Workspace,
     WorkspaceError,
     analysis_document,
@@ -46,37 +47,22 @@ EXIT_PRECONDITION = 3
 EXIT_NO_UNIT_INVERSE = 4
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+def _fail(code: int, message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(code)
 
 
-def _load_workspace(path: str) -> Workspace:
-    try:
-        return parse_workspace(path)
-    except WorkspaceError as exc:
-        _fail(EXIT_USAGE, str(exc))
-    except InvalidHomError as exc:
-        _fail(EXIT_PRECONDITION, str(exc))
-    except OSError as exc:
-        _fail(EXIT_USAGE, f"cannot read workspace: {exc}")
-    raise AssertionError("unreachable")
+def _entry(ws: Workspace, name: str) -> HomEntry:
+    if name not in ws.homs:
+        _fail(EXIT_USAGE, f"workspace declares no hom named {name!r}")
+    return ws.homs[name]
 
 
-def _read_matrix(matrix_file: Optional[str], matrix_inline: Optional[str]) -> IntMatrix:
-    if (matrix_file is None) == (matrix_inline is None):
-        _fail(EXIT_USAGE, "provide exactly one of --matrix-file or --matrix")
-    try:
-        if matrix_file is not None:
-            with open(matrix_file, "r", encoding="utf-8") as fh:
-                return parse_matrix_text(fh.read())
-        assert matrix_inline is not None
-        return parse_matrix_text(matrix_inline)
-    except WorkspaceError as exc:
-        _fail(EXIT_USAGE, str(exc))
-    except OSError as exc:
-        _fail(EXIT_USAGE, f"cannot read matrix file: {exc}")
-    raise AssertionError("unreachable")
+def _read_matrix(args: argparse.Namespace) -> IntMatrix:
+    if args.matrix_file is None:
+        return parse_matrix_text(args.matrix_inline)
+    with open(args.matrix_file, "r", encoding="utf-8") as fh:
+        return parse_matrix_text(fh.read())
 
 
 def _yesno(flag: Optional[bool]) -> str:
@@ -119,57 +105,31 @@ def _render_text(name: str, hom: FdHom, report: AnalysisReport) -> str:
 
 def _emit_report(
     name: str, source_name: str, target_name: str, hom: FdHom, fmt: str
-) -> None:
+) -> int:
     report = analyze_hom(hom)
     if fmt == "machine":
         doc = analysis_document(name, source_name, target_name, hom, report)
-        click.echo(machine_dumps(doc), nl=False)
+        sys.stdout.write(machine_dumps(doc))
     else:
-        click.echo(_render_text(name, hom, report))
+        print(_render_text(name, hom, report))
+    return EXIT_OK
 
 
-@click.group()
-def main() -> None:
-    """Exact analysis of homomorphisms between finite-dimensional C*-algebras."""
-
-
-@main.command("analyze")
-@click.option("--workspace", "workspace_path", required=True, metavar="PATH")
-@click.option("--hom", "hom_name", required=True, metavar="NAME")
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "machine"]), default="text"
-)
-def cmd_analyze(workspace_path: str, hom_name: str, fmt: str) -> None:
+def cmd_analyze(args: argparse.Namespace) -> int:
     """Analyse one named homomorphism from a workspace file."""
-    ws = _load_workspace(workspace_path)
-    if hom_name not in ws.homs:
-        _fail(EXIT_USAGE, f"workspace declares no hom named {hom_name!r}")
-    entry = ws.homs[hom_name]
-    _emit_report(entry.name, entry.source_name, entry.target_name, entry.hom, fmt)
+    entry = _entry(parse_workspace(args.workspace), args.hom)
+    return _emit_report(
+        entry.name, entry.source_name, entry.target_name, entry.hom, args.format
+    )
 
 
-@main.command("compose")
-@click.option("--workspace", "workspace_path", required=True, metavar="PATH")
-@click.option(
-    "--homs",
-    "hom_names",
-    required=True,
-    metavar="NAME,NAME,...",
-    help="At least two hom names, listed in application order.",
-)
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "machine"]), default="text"
-)
-def cmd_compose(workspace_path: str, hom_names: str, fmt: str) -> None:
+def cmd_compose(args: argparse.Namespace) -> int:
     """Compose a chain of homs (first listed is applied first) and analyse it."""
-    names = [n.strip() for n in hom_names.split(",") if n.strip()]
+    names = [n.strip() for n in args.homs.split(",") if n.strip()]
     if len(names) < 2:
         _fail(EXIT_USAGE, "compose needs at least two hom names")
-    ws = _load_workspace(workspace_path)
-    for n in names:
-        if n not in ws.homs:
-            _fail(EXIT_USAGE, f"workspace declares no hom named {n!r}")
-    entries = [ws.homs[n] for n in names]
+    ws = parse_workspace(args.workspace)
+    entries = [_entry(ws, n) for n in names]
     composite = entries[0].hom
     for previous, entry in zip(entries, entries[1:]):
         try:
@@ -181,59 +141,116 @@ def cmd_compose(workspace_path: str, hom_names: str, fmt: str) -> None:
                 f"algebras differ ({previous.target_name} vs {entry.source_name})",
             )
     name = "compose(" + ",".join(names) + ")"
-    _emit_report(
-        name, entries[0].source_name, entries[-1].target_name, composite, fmt
+    return _emit_report(
+        name, entries[0].source_name, entries[-1].target_name, composite, args.format
     )
 
 
-@main.command("invert")
-@click.option("--side", type=click.Choice(["left", "right"]), required=True)
-@click.option("--matrix-file", "matrix_file", metavar="PATH", default=None)
-@click.option("--matrix", "matrix_inline", metavar="ROWS", default=None)
-def cmd_invert(side: str, matrix_file: Optional[str], matrix_inline: Optional[str]) -> None:
+def cmd_invert(args: argparse.Namespace) -> int:
     """One-sided integer inversion: prints d and a verified (scaled) inverse.
 
     A unit inverse exists exactly when d, the gcd of the determinants of the
     full square submatrices, equals 1; otherwise the scaled inverse with
     product d*I is printed and the exit status is 4.
     """
-    e = _read_matrix(matrix_file, matrix_inline)
-    work = e if side == "left" else e.transpose()
-    try:
-        result = scaled_left_inverse(work)
-    except (DimensionError, PreconditionError, EnumerationCapExceeded) as exc:
-        _fail(EXIT_PRECONDITION, str(exc))
-        raise AssertionError("unreachable")
-    inverse = result.matrix if side == "left" else result.matrix.transpose()
-    click.echo(f"d = {result.d}")
+    e = _read_matrix(args)
+    left = args.side == "left"
+    work = e if left else e.transpose()
+    result = scaled_left_inverse(work)
+    inverse = result.matrix if left else result.matrix.transpose()
+    print(f"d = {result.d}")
     if result.degenerate:
-        click.echo("matrix is rank deficient (d = 0); no one-sided inverse exists")
-        sys.exit(EXIT_NO_UNIT_INVERSE)
-    n = work.cols
-    product = inverse @ e if side == "left" else e @ inverse
-    if product != result.d * IntMatrix.identity(n):
-        raise AssertionError("inverse failed verification before printing")
-    label = "left inverse" if side == "left" else "right inverse"
+        print("matrix is rank deficient (d = 0); no one-sided inverse exists")
+        return EXIT_NO_UNIT_INVERSE
+    product = inverse @ e if left else e @ inverse
+    if product != result.d * IntMatrix.identity(work.cols):
+        raise InvariantViolation("inverse failed verification before printing")
+    label = f"{args.side} inverse"
     if result.d == 1:
-        click.echo(f"{label} (verified):")
-        click.echo(str(inverse))
-        sys.exit(EXIT_OK)
-    click.echo(f"no unit {label} exists; scaled inverse with product {result.d}*I:")
-    click.echo(str(inverse))
-    sys.exit(EXIT_NO_UNIT_INVERSE)
+        print(f"{label} (verified):")
+        print(inverse)
+        return EXIT_OK
+    print(f"no unit {label} exists; scaled inverse with product {result.d}*I:")
+    print(inverse)
+    return EXIT_NO_UNIT_INVERSE
 
 
-@main.command("snf")
-@click.option("--matrix-file", "matrix_file", metavar="PATH", default=None)
-@click.option("--matrix", "matrix_inline", metavar="ROWS", default=None)
-def cmd_snf(matrix_file: Optional[str], matrix_inline: Optional[str]) -> None:
+def cmd_snf(args: argparse.Namespace) -> int:
     """Smith normal form: prints U, D, V with D = U*E*V and the invariant factors."""
-    e = _read_matrix(matrix_file, matrix_inline)
-    snf = smith_normal_form(e)
+    snf = smith_normal_form(_read_matrix(args))
     for label, m in (("U", snf.U), ("D", snf.D), ("V", snf.V)):
-        click.echo(f"{label} =")
-        click.echo(str(m))
-    click.echo(f"invariant factors: {list(snf.invariant_factors)}")
+        print(f"{label} =")
+        print(m)
+    print(f"invariant factors: {list(snf.invariant_factors)}")
+    return EXIT_OK
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Exact analysis of homomorphisms between finite-dimensional C*-algebras.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    sub = {}
+    for handler in (cmd_analyze, cmd_compose, cmd_invert, cmd_snf):
+        name, doc = handler.__name__.removeprefix("cmd_"), handler.__doc__
+        sub[name] = commands.add_parser(
+            name, help=doc.splitlines()[0], description=doc, allow_abbrev=False
+        )
+        sub[name].set_defaults(handler=handler)
+    for name in ("analyze", "compose"):
+        sub[name].add_argument("--workspace", required=True, metavar="PATH")
+    sub["analyze"].add_argument("--hom", required=True, metavar="NAME")
+    sub["compose"].add_argument(
+        "--homs",
+        required=True,
+        metavar="NAME,NAME,...",
+        help="At least two hom names, listed in application order.",
+    )
+    for name in ("analyze", "compose"):
+        sub[name].add_argument("--format", choices=["text", "machine"], default="text")
+    sub["invert"].add_argument("--side", choices=["left", "right"], required=True)
+    for name in ("invert", "snf"):
+        source = sub[name].add_mutually_exclusive_group(required=True)
+        source.add_argument("--matrix-file", metavar="PATH")
+        source.add_argument("--matrix", dest="matrix_inline", metavar="ROWS")
+    return parser
+
+
+def _attach_values(args: Sequence[str]) -> list[str]:
+    """Rewrite each ``--option value`` pair as ``--option=value``.
+
+    Every long option except ``--help`` takes one value.  argparse would
+    read a value that starts with '-', such as the inline matrix "-1,2;3,4",
+    as an option of its own; attached, it stays the option's value.
+    """
+    out = []
+    rest = iter(args)
+    for arg in rest:
+        if arg.startswith("--") and arg not in ("--", "--help") and "=" not in arg:
+            value = next(rest, None)
+            if value is not None:
+                arg = f"{arg}={value}"
+        out.append(arg)
+    return out
+
+
+def main(args: Optional[Sequence[str]] = None, prog_name: Optional[str] = None) -> NoReturn:
+    """Run one subcommand and exit with its status; errors map to 2 or 3."""
+    argv = sys.argv[1:] if args is None else args
+    parsed = _parser(prog_name or "k0hom").parse_args(_attach_values(argv))
+    try:
+        status = parsed.handler(parsed)
+    except OSError as exc:
+        if exc.filename is None:
+            _fail(EXIT_USAGE, str(exc))
+        _fail(EXIT_USAGE, f"cannot read {exc.filename}: {exc.strerror}")
+    except WorkspaceError as exc:
+        _fail(EXIT_USAGE, str(exc))
+    except (PreconditionError, DimensionError, EnumerationCapExceeded) as exc:
+        _fail(EXIT_PRECONDITION, str(exc))
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ every decision, with certificates, into one report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .intlin import (
@@ -92,14 +92,16 @@ class FdHom:
 
     ``matrix`` has one row per target block and one column per source block;
     entries are nonnegative.  ``slack[i]`` is the unused dimension in target
-    block i and is always nonnegative for a valid homomorphism.  Use
-    :func:`make_hom`, which computes the slack and validates.
+    block i; it is computed on construction and is always nonnegative.
+    Construction rejects wrong shapes, matrices whose copies of the source
+    blocks do not fit inside the target blocks (naming the offending row),
+    and negative entries, all with :class:`InvalidHomError`.
     """
 
     source: FdAlgebra
     target: FdAlgebra
     matrix: IntMatrix
-    slack: tuple[int, ...]
+    slack: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         k = self.source.num_blocks
@@ -109,39 +111,27 @@ class FdHom:
                 f"matrix is {self.matrix.rows}x{self.matrix.cols}, expected "
                 f"{ell}x{k} (target blocks x source blocks)"
             )
+        slack = []
+        for i, m_i in enumerate(self.target.blocks):
+            used = sum(
+                self.matrix[i, j] * n_j for j, n_j in enumerate(self.source.blocks)
+            )
+            if used > m_i:
+                raise InvalidHomError(
+                    f"row {i}: source blocks need dimension {used} but target "
+                    f"block size is {m_i}"
+                )
+            slack.append(m_i - used)
+        object.__setattr__(self, "slack", tuple(slack))
         for i in range(ell):
             for j in range(k):
                 if self.matrix[i, j] < 0:
                     raise InvalidHomError(
                         f"multiplicity at row {i}, column {j} is negative"
                     )
-        expected = _slack_vector(self.source, self.target, self.matrix)
-        if tuple(self.slack) != expected:
-            raise InvalidHomError(
-                f"slack vector {self.slack} does not match block sizes; "
-                f"expected {expected}"
-            )
 
     def __str__(self) -> str:
         return f"{self.source} -> {self.target}"
-
-
-def _slack_vector(
-    source: FdAlgebra, target: FdAlgebra, matrix: IntMatrix
-) -> tuple[int, ...]:
-    slack = []
-    for i, m_i in enumerate(target.blocks):
-        used = sum(
-            matrix[i, j] * n_j for j, n_j in enumerate(source.blocks)
-        )
-        s_i = m_i - used
-        if s_i < 0:
-            raise InvalidHomError(
-                f"row {i}: source blocks need dimension {used} but target "
-                f"block size is {m_i}"
-            )
-        slack.append(s_i)
-    return tuple(slack)
 
 
 def make_hom(source: FdAlgebra, target: FdAlgebra, matrix: IntMatrix) -> FdHom:
@@ -156,15 +146,7 @@ def make_hom(source: FdAlgebra, target: FdAlgebra, matrix: IntMatrix) -> FdHom:
     >>> phi.slack
     (0, 0)
     """
-    k = source.num_blocks
-    ell = target.num_blocks
-    if (matrix.rows, matrix.cols) != (ell, k):
-        raise InvalidHomError(
-            f"matrix is {matrix.rows}x{matrix.cols}, expected {ell}x{k} "
-            "(target blocks x source blocks)"
-        )
-    slack = _slack_vector(source, target, matrix)
-    return FdHom(source=source, target=target, matrix=matrix, slack=slack)
+    return FdHom(source, target, matrix)
 
 
 def identity_hom(algebra: FdAlgebra) -> FdHom:

@@ -344,26 +344,28 @@ def minor_gcd(
     With ``early_exit`` the enumeration stops as soon as the running gcd
     hits 1; the reported d is unchanged but ``exhausted`` is False and the
     witness list only covers the evaluated prefix.  An all-zero matrix has
-    d == 0.
+    d == 0.  More than ``max_submatrices`` evaluations raise
+    :class:`EnumerationCapExceeded`; without ``early_exit`` that is decided
+    from the number of submatrices before any determinant is computed.
     """
+    over_cap = EnumerationCapExceeded(
+        f"more than {max_submatrices} full square submatrices; "
+        "raise the cap or use the Smith normal form route"
+    )
+    total = math.comb(max(e.rows, e.cols), min(e.rows, e.cols))
+    if not early_exit and total > max_submatrices:
+        raise over_cap
     witnesses: list[tuple[tuple[int, ...], int]] = []
     d = 0
-    count = 0
-    exhausted = True
-    for idx, sub in full_square_submatrices(e):
-        count += 1
+    for count, (idx, sub) in enumerate(full_square_submatrices(e), 1):
         if count > max_submatrices:
-            raise EnumerationCapExceeded(
-                f"more than {max_submatrices} full square submatrices; "
-                "raise the cap or use the Smith normal form route"
-            )
+            raise over_cap
         det = determinant(sub)
         witnesses.append((idx, det))
         d = math.gcd(d, det)
         if early_exit and d == 1:
-            exhausted = False
-            break
-    return MinorGcdResult(d=d, witnesses=tuple(witnesses), exhausted=exhausted)
+            return MinorGcdResult(d=d, witnesses=tuple(witnesses), exhausted=False)
+    return MinorGcdResult(d=d, witnesses=tuple(witnesses), exhausted=True)
 
 
 def gcd_with_bezout(values: Sequence[int]) -> BezoutResult:
@@ -442,21 +444,8 @@ def scaled_left_inverse(
             f"need rows >= cols for a left inverse, got {e.rows}x{e.cols}"
         )
     k, width = e.cols, e.rows
-    stop_at_unit = early_exit and coefficients is None
-    picked: list[tuple[tuple[int, ...], int]] = []
-    d = 0
-    count = 0
-    for idx, sub in full_square_submatrices(e):
-        count += 1
-        if count > max_submatrices:
-            raise EnumerationCapExceeded(
-                f"more than {max_submatrices} full square submatrices"
-            )
-        det = determinant(sub)
-        picked.append((idx, det))
-        d = math.gcd(d, det)
-        if stop_at_unit and d == 1:
-            break
+    minors = minor_gcd(e, early_exit and coefficients is None, max_submatrices)
+    d, picked = minors.d, minors.witnesses
     if d == 0:
         return ScaledLeftInverse(d=0, matrix=IntMatrix.zeros(k, width), degenerate=True)
     dets = [det for _, det in picked]

@@ -23,6 +23,7 @@ so that parse -> serialise round-trips are byte-stable.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -61,6 +62,23 @@ class Workspace:
     homs: dict[str, HomEntry]
 
 
+def _load_json(text: str, what: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise WorkspaceError(
+            f"malformed {what} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise WorkspaceError(f"malformed {what}: nested too deeply") from None
+    except ValueError:
+        # json converts integer literals with int(), which refuses long ones
+        raise WorkspaceError(
+            f"malformed {what}: an integer literal has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _as_int(value: object, context: str) -> int:
     if isinstance(value, bool):
         raise WorkspaceError(f"{context}: expected an integer, got a boolean")
@@ -70,7 +88,11 @@ def _as_int(value: object, context: str) -> int:
         try:
             return int(value, 10)
         except ValueError:
-            raise WorkspaceError(f"{context}: {value!r} is not an integer") from None
+            # int() refuses more digits than the process-wide limit
+            limit = sys.get_int_max_str_digits()
+            why = f" of at most {limit} digits" if 0 < limit < len(value) else ""
+            shown = repr(value) if len(value) <= 40 else f"{value[:40]!r}..."
+            raise WorkspaceError(f"{context}: {shown} is not an integer{why}") from None
     raise WorkspaceError(f"{context}: expected an integer, got {type(value).__name__}")
 
 
@@ -99,13 +121,7 @@ def parse_workspace(path: Union[str, Path]) -> Workspace:
     mismatches and infeasible homs are rejected with the offending name or
     row.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WorkspaceError(
-            f"malformed workspace at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    doc = _load_json(Path(path).read_text(encoding="utf-8"), "workspace")
     if not isinstance(doc, dict):
         raise WorkspaceError("workspace must be a JSON object")
 
@@ -138,6 +154,11 @@ def parse_workspace(path: Union[str, Path]) -> Workspace:
                 raise WorkspaceError(f"hom {name!r} is missing {key!r}")
         source_name, target_name = raw["source"], raw["target"]
         for which, algebra_name in (("source", source_name), ("target", target_name)):
+            if not isinstance(algebra_name, str):
+                raise WorkspaceError(
+                    f"hom {name!r}: {which} must be an algebra name, "
+                    f"got {type(algebra_name).__name__}"
+                )
             if algebra_name not in algebras:
                 raise WorkspaceError(
                     f"hom {name!r}: {which} algebra {algebra_name!r} is not declared"
@@ -168,25 +189,12 @@ def parse_matrix_text(text: str) -> IntMatrix:
     if not text:
         raise WorkspaceError("empty matrix")
     if text.startswith("["):
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise WorkspaceError(f"malformed matrix: {exc.msg}") from None
-        return _parse_matrix(raw, "matrix")
-    rows = []
-    for chunk in text.replace("\n", ";").split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        tokens = chunk.replace(",", " ").split()
-        try:
-            rows.append([int(tok, 10) for tok in tokens])
-        except ValueError:
-            raise WorkspaceError(f"malformed matrix row: {chunk!r}") from None
-    if not rows:
-        raise WorkspaceError("empty matrix")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise WorkspaceError("matrix rows have unequal lengths")
+        return _parse_matrix(_load_json(text, "matrix"), "matrix")
+    rows = [
+        chunk.replace(",", " ").split()
+        for chunk in text.replace("\n", ";").split(";")
+        if chunk.strip()
+    ]
     return _parse_matrix(rows, "matrix")
 
 

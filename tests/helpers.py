@@ -7,7 +7,9 @@ instead of IntMatrix.__matmul__) so agreement checks mean something.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import random
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from k0hom import (
     make_hom,
     smith_normal_form,
 )
+from k0hom.cli import main as cli_main
 
 
 def fraction_rank(rows: list[list[int]]) -> int:
@@ -245,3 +248,32 @@ def corrupted_smith_normal_form(e: IntMatrix) -> SmithDecomposition:
     return dataclasses.replace(
         snf, D=IntMatrix.from_rows(rows), invariant_factors=factors
     )
+
+
+@dataclasses.dataclass(frozen=True)
+class CliResult:
+    """Exit status and captured streams of one in-process ``k0hom`` run."""
+
+    exit_code: object
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(*args: str) -> CliResult:
+    """Call ``k0hom.cli.main`` with stdout and stderr redirected.
+
+    ``main`` always ends in ``SystemExit``; returning normally is a failure.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli_main(list(args), prog_name="k0hom")
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            raise AssertionError("k0hom.cli.main returned without SystemExit")
+    return CliResult(code, out.getvalue(), err.getvalue())

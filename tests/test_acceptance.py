@@ -12,7 +12,6 @@ import time
 from contextlib import contextmanager
 
 import pytest
-from click.testing import CliRunner
 
 from helpers import (
     is_row_pattern,
@@ -22,9 +21,9 @@ from helpers import (
     random_hom,
     random_rank_deficient,
     random_row_pattern_matrix,
+    run_cli,
 )
 from k0hom import oracle
-from k0hom.cli import main as cli_main
 from k0hom.cstar import (
     FdAlgebra,
     analyze,
@@ -267,7 +266,6 @@ def test_criterion_11_cli_round_trip(tmp_path):
         }
         path = tmp_path / "ws.json"
         path.write_text(json.dumps(workspace), encoding="utf-8")
-        runner = CliRunner()
 
         expectations = {
             "phi": make_hom(
@@ -282,10 +280,8 @@ def test_criterion_11_cli_round_trip(tmp_path):
             ),
         }
         for name, hom in expectations.items():
-            invoked = runner.invoke(
-                cli_main,
-                ["analyze", "--workspace", str(path), "--hom", name,
-                 "--format", "machine"],
+            invoked = run_cli(
+                "analyze", "--workspace", str(path), "--hom", name, "--format", "machine"
             )
             assert invoked.exit_code == 0, invoked.output
             doc = json.loads(invoked.output)
@@ -319,19 +315,13 @@ def test_criterion_11_cli_round_trip(tmp_path):
             assert tuple(int(s) for s in analysis["column_gcds"]) == report.column_gcds
 
         # exit status table: 0 success, 2 usage/parse, 3 precondition, 4 no unit inverse
-        ok = runner.invoke(
-            cli_main, ["analyze", "--workspace", str(path), "--hom", "phi"]
-        )
+        ok = run_cli("analyze", "--workspace", str(path), "--hom", "phi")
         assert ok.exit_code == 0
-        unknown = runner.invoke(
-            cli_main, ["analyze", "--workspace", str(path), "--hom", "ghost"]
-        )
+        unknown = run_cli("analyze", "--workspace", str(path), "--hom", "ghost")
         assert unknown.exit_code == 2
         bad_path = tmp_path / "bad.json"
         bad_path.write_text("{", encoding="utf-8")
-        malformed = runner.invoke(
-            cli_main, ["analyze", "--workspace", str(bad_path), "--hom", "phi"]
-        )
+        malformed = run_cli("analyze", "--workspace", str(bad_path), "--hom", "phi")
         assert malformed.exit_code == 2
         infeasible = dict(workspace)
         infeasible["homs"] = {
@@ -339,15 +329,9 @@ def test_criterion_11_cli_round_trip(tmp_path):
         }
         bad_hom_path = tmp_path / "infeasible.json"
         bad_hom_path.write_text(json.dumps(infeasible), encoding="utf-8")
-        precondition = runner.invoke(
-            cli_main, ["analyze", "--workspace", str(bad_hom_path), "--hom", "bad"]
-        )
+        precondition = run_cli("analyze", "--workspace", str(bad_hom_path), "--hom", "bad")
         assert precondition.exit_code == 3
-        unit = runner.invoke(
-            cli_main, ["invert", "--side", "left", "--matrix", "3 3; 2 0; 0 5"]
-        )
+        unit = run_cli("invert", "--side", "left", "--matrix", "3 3; 2 0; 0 5")
         assert unit.exit_code == 0
-        scaled = runner.invoke(
-            cli_main, ["invert", "--side", "left", "--matrix", "2; 0"]
-        )
+        scaled = run_cli("invert", "--side", "left", "--matrix", "2; 0")
         assert scaled.exit_code == 4

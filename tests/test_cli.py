@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from helpers import run_cli
+from k0hom import cli
 from k0hom.cli import main
 from k0hom.cstar import FdAlgebra, analyze, make_hom
-from k0hom.intlin import IntMatrix
+from k0hom.intlin import IntMatrix, InvariantViolation, ScaledLeftInverse
 from k0hom.workspace import matrix_from_document
 
 WORKSPACE = {
@@ -27,7 +32,7 @@ def workspace_path(tmp_path):
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    return run_cli(*args)
 
 
 class TestAnalyze:
@@ -160,6 +165,11 @@ class TestSnf:
         result = run("snf", "--matrix", "nonsense")
         assert result.exit_code == 2
 
+    def test_value_starting_with_minus(self):
+        result = run("snf", "--matrix", "-2,0;0,3")
+        assert result.exit_code == 0
+        assert "invariant factors: [1, 6]" in result.output
+
 
 class TestCompose:
     def test_compose_with_identity_matches_analyze(self, workspace_path):
@@ -196,3 +206,118 @@ class TestCompose:
     def test_needs_two_names(self, workspace_path):
         result = run("compose", "--workspace", workspace_path, "--homs", "phi")
         assert result.exit_code == 2
+
+
+class TestExitStatus:
+    """``main(args, prog_name=...)`` always ends in SystemExit with the status."""
+
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            (["snf", "--matrix", "2 0; 0 3"], 0),
+            (["snf", "--matrix", "nonsense"], 2),
+            (["invert", "--side", "left", "--matrix", "1 2 3"], 3),
+            (["invert", "--side", "left", "--matrix", "2; 0"], 4),
+        ],
+    )
+    def test_status(self, args, status):
+        with pytest.raises(SystemExit) as exc:
+            main(args, prog_name="k0hom")
+        assert exc.value.code == status
+
+    def test_invert_checks_before_printing(self, monkeypatch):
+        def wrong(e):
+            return ScaledLeftInverse(d=1, matrix=IntMatrix.zeros(e.cols, e.rows), degenerate=False)
+
+        monkeypatch.setattr(cli, "scaled_left_inverse", wrong)
+        with pytest.raises(InvariantViolation):
+            run("invert", "--side", "left", "--matrix", "1 0; 0 1")
+
+    def test_imports_with_the_standard_library_only(self):
+        # -S leaves site-packages off sys.path, so any third-party import fails
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", "import k0hom.cli"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", "--workspace", "ws.json"],
+            ["invert", "--side", "left", "--matrix", "1", "--matrix-file", "m.txt"],
+            ["invert", "--side", "left"],
+            ["invert", "--side", "up", "--matrix", "1"],
+            ["analyze", "--workspace", "ws.json", "--hom", "phi", "--format", "xml"],
+            ["compose", "--workspace", "ws.json", "--hom", "phi,eta"],
+            [],
+        ],
+    )
+    def test_usage_error_exits_2(self, args):
+        result = run(*args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: k0hom")
+
+    def test_missing_file_names_it(self, tmp_path):
+        missing = tmp_path / "absent.txt"
+        result = run("snf", "--matrix-file", str(missing))
+        assert result.exit_code == 2
+        assert result.stderr == f"error: cannot read {missing}: No such file or directory\n"
+
+
+BIG = "9" * (sys.get_int_max_str_digits() + 700)
+
+
+class TestParseBoundary:
+    """Inputs that used to end in a traceback exit 2 with one short stderr line."""
+
+    def check_one_line(self, result):
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+        assert len(result.stderr) < 200
+        return result.stderr
+
+    def workspace(self, tmp_path, text):
+        path = tmp_path / "ws.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_non_string_algebra_name(self, tmp_path):
+        doc = {
+            "algebras": {"A": [1], "B": [1]},
+            "homs": {"h": {"source": ["A"], "target": "B", "matrix": [[1]]}},
+        }
+        path = self.workspace(tmp_path, json.dumps(doc))
+        message = self.check_one_line(run("analyze", "--workspace", path, "--hom", "h"))
+        assert "source" in message
+
+    def test_long_block_size_literal(self, tmp_path):
+        path = self.workspace(
+            tmp_path, '{"algebras": {"A": [%s]}, "homs": {}}' % BIG
+        )
+        message = self.check_one_line(run("analyze", "--workspace", path, "--hom", "h"))
+        assert str(sys.get_int_max_str_digits()) in message
+
+    def test_long_block_size_string(self, tmp_path):
+        path = self.workspace(tmp_path, json.dumps({"algebras": {"A": [BIG]}}))
+        message = self.check_one_line(run("analyze", "--workspace", path, "--hom", "h"))
+        assert str(sys.get_int_max_str_digits()) in message
+
+    def test_long_json_matrix_literal(self):
+        message = self.check_one_line(run("snf", "--matrix", f"[[{BIG}, 1]]"))
+        assert str(sys.get_int_max_str_digits()) in message
+
+    def test_long_inline_matrix_token(self):
+        message = self.check_one_line(run("snf", "--matrix", f"{BIG} 1"))
+        assert message.startswith("error: matrix, row 0: '99")
+        assert str(sys.get_int_max_str_digits()) in message
+
+    def test_deeply_nested_json_matrix(self):
+        self.check_one_line(run("snf", "--matrix", "[" * 100_000))

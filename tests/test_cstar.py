@@ -119,6 +119,13 @@ class TestMakeHom:
         h = make_hom(FdAlgebra.of(2), FdAlgebra.of(3), IntMatrix.zeros(1, 1))
         assert h.slack == (3,)
 
+    def test_constructor_derives_slack(self):
+        h = FdHom(A, B, IntMatrix.from_rows([[1, 0, 0], [0, 0, 1]]))
+        assert h.slack == (3, 0)
+        assert h == make_hom(A, B, h.matrix)
+        with pytest.raises(TypeError):
+            FdHom(A, B, h.matrix, slack=(3, 0))
+
 
 class TestPredicates:
     def test_phi_flags(self):

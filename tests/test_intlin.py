@@ -11,7 +11,7 @@ from helpers import (
     st_square_matrices,
     st_tall_matrices,
 )
-from k0hom import oracle
+from k0hom import intlin, oracle
 from k0hom.intlin import (
     DimensionError,
     EnumerationCapExceeded,
@@ -196,6 +196,24 @@ class TestMinorGcd:
     def test_cap(self):
         with pytest.raises(EnumerationCapExceeded):
             minor_gcd(EXAMPLE, max_submatrices=2)
+
+    def test_cap_decided_before_any_determinant(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return determinant(m)
+
+        monkeypatch.setattr(intlin, "determinant", counting)
+        tall = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]] * 2)
+        with pytest.raises(EnumerationCapExceeded):
+            scaled_left_inverse(tall, max_submatrices=5)
+        with pytest.raises(EnumerationCapExceeded):
+            minor_gcd(tall, max_submatrices=5)
+        assert calls == []
+        # with early exit only the evaluated prefix counts against the cap
+        assert minor_gcd(tall, early_exit=True, max_submatrices=1).d == 1
+        assert len(calls) == 1
 
     @given(st_matrices(max_rows=5, max_cols=5))
     def test_early_exit_property(self, m):
